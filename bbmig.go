@@ -26,7 +26,9 @@
 //
 //   - Config.MaxExtentBlocks coalesces runs of contiguous dirty blocks into
 //     single MsgExtent frames (Arg packs start and count, payload carries
-//     the concatenated blocks), amortizing per-frame header and flush cost.
+//     the concatenated blocks), and runs of dirty memory pages into
+//     MsgMemExtent frames likewise, amortizing per-frame header and flush
+//     cost.
 //   - Config.Workers pipelines read→compress→send on the source and
 //     scatter-applies received frames on the destination. Parallelism stays
 //     within one pre-copy iteration — each block/page number appears at most

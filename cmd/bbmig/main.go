@@ -22,10 +22,11 @@
 //
 // Parallel transfer: -streams N opens N TCP connections and stripes block
 // data across them, -extent-blocks M coalesces up to M contiguous blocks
-// per frame, and -workers W pipelines device reads and sends. Both ends
-// must pass the same -streams value (like -compress / -compress-level,
-// which now ride in core.Config and are applied by the engine itself); the
-// defaults keep the single-connection per-block wire format:
+// (and memory pages) per frame, and -workers W pipelines device reads and
+// sends. Both ends must pass the same -streams value (like -compress /
+// -compress-level, which now ride in core.Config and are applied by the
+// engine itself); the defaults keep the single-connection per-block wire
+// format:
 //
 //	bbmig -mode recv -listen :7011 -image guest.img -streams 4
 //	bbmig -mode send -addr dst:7011 -image guest.img -streams 4 -extent-blocks 64 -workers 4
@@ -109,7 +110,7 @@ func main() {
 		compLevel  = flag.Int("compress-level", 0, "explicit flate level -2..9 (overrides -compress; both ends must agree)")
 		progress   = flag.Bool("progress", false, "print live phase/iteration/byte progress events")
 		streams    = flag.Int("streams", 1, "parallel transport connections (both ends must agree)")
-		extentBlk  = flag.Int("extent-blocks", 1, "send: max contiguous blocks coalesced per frame")
+		extentBlk  = flag.Int("extent-blocks", 1, "send: max contiguous blocks (and memory pages) coalesced per frame")
 		workers    = flag.Int("workers", 1, "send: read/send pipeline workers; recv: scatter-write workers")
 		readahead  = flag.Int("readahead", 0, "send: extents prefetched into pooled buffers ahead of the wire (0 = sequential; ignored with -workers > 1 or -dedup)")
 		dedupFlag  = flag.Bool("dedup", false, "content-addressed dedup: ship block fingerprints and references instead of known bytes (both ends must agree)")

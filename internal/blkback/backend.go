@@ -96,7 +96,8 @@ func (b *Backend) Tracking() bool { return b.tracking.Load() }
 
 // Submit performs one I/O request. For reads, req.Data must be a buffer of
 // at least one block; for writes it is the payload. Writes from the tracked
-// domain are recorded in the dirty bitmap while tracking is enabled.
+// domain are recorded in the dirty bitmap while tracking is enabled, after
+// the device accepts them; a failed write marks nothing.
 func (b *Backend) Submit(req blockdev.Request) error {
 	switch req.Op {
 	case blockdev.Read:
@@ -111,7 +112,16 @@ func (b *Backend) Submit(req blockdev.Request) error {
 		b.bytesWrit.Add(int64(b.dev.BlockSize()))
 		if req.Domain != b.domain {
 			b.foreign.Add(1)
-		} else if b.tracking.Load() {
+			return b.dev.WriteBlock(req.Block, req.Data)
+		}
+		if err := b.dev.WriteBlock(req.Block, req.Data); err != nil {
+			return err
+		}
+		// The bit is set only once the write has landed, as vm.Memory
+		// marks pages: a write still in flight when the engine swaps the
+		// bitmap out and snapshots the volume then dirties the next
+		// iteration instead of being read stale and never resent.
+		if b.tracking.Load() {
 			if b.dirty.Test(req.Block) {
 				b.rewrites.Add(1)
 			} else {
@@ -119,7 +129,7 @@ func (b *Backend) Submit(req blockdev.Request) error {
 			}
 			b.dirty.Set(req.Block)
 		}
-		return b.dev.WriteBlock(req.Block, req.Data)
+		return nil
 	default:
 		return fmt.Errorf("blkback: unknown op %v", req.Op)
 	}

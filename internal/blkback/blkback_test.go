@@ -487,3 +487,55 @@ func TestGateConcurrentStress(t *testing.T) {
 		t.Fatalf("gate not synchronized: %d dirty left", gate.RemainingDirty())
 	}
 }
+
+// parkingDisk wraps a device so WriteBlock signals entered, then waits on
+// release before the write reaches the device.
+type parkingDisk struct {
+	blockdev.Device
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (p *parkingDisk) WriteBlock(n int, data []byte) error {
+	p.entered <- struct{}{}
+	<-p.release
+	return p.Device.WriteBlock(n, data)
+}
+
+// TestBackendWriteStraddlingSwapIsResent parks a tracked write inside the
+// device while the engine swaps the dirty bitmap out (the point where a
+// pre-copy iteration takes its snapshot). The block's content is not yet on
+// the device, so that iteration reads it stale: the write must dirty the
+// next iteration's bitmap instead of the one already swapped out.
+func TestBackendWriteStraddlingSwapIsResent(t *testing.T) {
+	dev := &parkingDisk{Device: blockdev.NewMemDisk(16, bs), entered: make(chan struct{}), release: make(chan struct{})}
+	b := NewBackend(dev, 1)
+	b.StartTracking()
+	done := make(chan error, 1)
+	go func() { done <- b.Submit(blockdev.Request{Op: blockdev.Write, Block: 6, Domain: 1, Data: block(3)}) }()
+	<-dev.entered
+	b.SwapDirty()
+	close(dev.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if next := b.SwapDirty(); !next.Test(6) {
+		t.Fatal("write straddling SwapDirty lost from the next iteration's bitmap")
+	}
+}
+
+// failingDisk rejects every write.
+type failingDisk struct{ blockdev.Device }
+
+func (failingDisk) WriteBlock(int, []byte) error { return errors.New("injected write failure") }
+
+func TestBackendFailedWriteNotTracked(t *testing.T) {
+	b := NewBackend(failingDisk{blockdev.NewMemDisk(16, bs)}, 1)
+	b.StartTracking()
+	if err := b.Submit(blockdev.Request{Op: blockdev.Write, Block: 2, Domain: 1, Data: block(1)}); err == nil {
+		t.Fatal("failed write reported success")
+	}
+	if b.DirtyCount() != 0 {
+		t.Fatal("failed write marked dirty")
+	}
+}

@@ -138,9 +138,11 @@ func (a *Autopilot) cycle() {
 		// the planner's emptiest host may no longer be — placement re-scores
 		// at dispatch with fresher loads, and a full host defers rather than
 		// permanently failing the move the way a pinned destination would.
+		// The rebalance mark confines that choice to hosts the move evens.
 		t, err := a.c.Submit(Job{
 			Domain: p.domain, From: p.from,
 			Priority: PriorityLow, PreSync: a.opts.PreSync,
+			rebalance: true,
 		})
 		a.mu.Lock()
 		if err != nil {

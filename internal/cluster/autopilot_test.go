@@ -311,3 +311,54 @@ func TestTroughDeferral(t *testing.T) {
 		t.Fatalf("high-priority job was trough-deferred to %v", tk2.NotBefore())
 	}
 }
+
+// TestRebalanceMoveEvensDespiteOverlap pins the autopilot's placement rule.
+// host1 retains g's old disk, so content overlap pulls g there, but host1
+// is no lighter than host0 would be after the move: an autopilot move must
+// land on the lighter host2 instead, or two such moves ping-pong g between
+// host0 and host1 forever. Once the fleet is even, a further rebalance move
+// is dropped rather than placed.
+func TestRebalanceMoveEvensDespiteOverlap(t *testing.T) {
+	c := New(Options{})
+	ms := newFleet(t, c, 3, 8)
+	addDomain(t, ms[1], "g", 8)
+	tk, err := c.Submit(Job{Domain: "g", From: "host1", To: "host0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	addDomain(t, ms[0], "a", 4)
+	addDomain(t, ms[0], "b", 4)
+	addDomain(t, ms[1], "c", 4)
+	addDomain(t, ms[1], "d", 4)
+	addDomain(t, ms[2], "e", 4)
+	c.HeartbeatAll()
+	if got, err := c.PlaceDomain("g", "host0"); err != nil || got != "host1" {
+		t.Fatalf("PlaceDomain(g) = %s, %v; the overlap bonus should favour host1", got, err)
+	}
+
+	tk, err = c.Submit(Job{Domain: "g", From: "host0", rebalance: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if tk.Target() != "host2" {
+		t.Fatalf("rebalance move landed on %s, want the lighter host2", tk.Target())
+	}
+
+	// 2/2/2: no move off host0 evens anything.
+	tk, err = c.Submit(Job{Domain: "a", From: "host0", rebalance: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); err == nil {
+		t.Fatalf("rebalance move on an even fleet ran, landing on %s", tk.Target())
+	}
+	if _, hosted := ms[0].Domain("a"); !hosted {
+		t.Fatal("dropped rebalance move still moved its domain")
+	}
+}

@@ -69,6 +69,10 @@ type Job struct {
 	// NotBefore zero, admission stamps its own deferral from the domain's
 	// predicted trough (low/normal priority only).
 	NotBefore time.Time
+
+	// rebalance marks an autopilot move: its unpinned destination must end
+	// lighter than the source, or the move is dropped (see admitLocked).
+	rebalance bool
 }
 
 // JobState is a Ticket's lifecycle position.
@@ -367,8 +371,22 @@ func (c *Cluster) admitLocked(t *Ticket) bool {
 				"cluster: pinned destination %q is at capacity (%d domains)", dst.name, dst.load.Domains))
 		}
 	} else {
+		var exclude map[string]bool
+		if t.job.rebalance {
+			// Placement weighs content overlap, which pulls a domain back
+			// to the host retaining its old disk. For a rebalance move that
+			// host may be no lighter than the source, and two such moves
+			// ping-pong the domain forever. Only hosts the move would leave
+			// lighter than the source qualify; with none, the move no
+			// longer evens anything and the autopilot re-plans.
+			var useful bool
+			if exclude, useful = c.unevenTargetsLocked(src); !useful {
+				return c.failQueuedLocked(t, fmt.Errorf(
+					"cluster: moving %q off %q no longer evens the fleet", t.job.Domain, src.name))
+			}
+		}
 		var err error
-		if dst, err = c.placeLocked(t.job.Domain, t.job.From, nil); err != nil {
+		if dst, err = c.placeLocked(t.job.Domain, t.job.From, exclude); err != nil {
 			return false // no destination right now; retry at next dispatch
 		}
 	}
@@ -394,6 +412,26 @@ func (c *Cluster) admitLocked(t *Ticket) bool {
 	leave := c.budget.Join()
 	go c.runJob(t, src.machine, dst.machine, leave)
 	return true
+}
+
+// unevenTargetsLocked returns the members a rebalance move off src must not
+// land on: those holding, with inbound moves counted, at least as many
+// domains as src would keep (outbound moves counted). useful reports whether
+// any schedulable member is left.
+func (c *Cluster) unevenTargetsLocked(src *member) (exclude map[string]bool, useful bool) {
+	exclude = make(map[string]bool)
+	keep := src.load.Domains - src.runningOut - 1
+	for _, m := range c.members {
+		if m == src || m.draining || !c.aliveLocked(m) {
+			continue
+		}
+		if m.load.Domains+m.runningIn+1 > keep {
+			exclude[m.name] = true
+		} else {
+			useful = true
+		}
+	}
+	return exclude, useful
 }
 
 // failQueuedLocked moves a still-queued ticket straight to JobFailed (a

@@ -155,6 +155,7 @@ func MigrateFreezeAndCopyDest(cfg Config, host Host, conn transport.Conn) (*Dest
 				transport.MsgBlockData: t.applyBlock,
 				transport.MsgExtent:    t.applyExtent,
 				transport.MsgMemPage:   t.applyPage,
+				transport.MsgMemExtent: t.applyMemExtent,
 				transport.MsgCPUState: func(m transport.Message) error {
 					res.CPU = vm.CPUState{Registers: append([]byte(nil), m.Payload...)}
 					host.VM.SetCPU(res.CPU)
@@ -304,6 +305,7 @@ func MigrateOnDemandDest(cfg Config, host Host, conn transport.Conn, release <-c
 				transport.MsgMemPage: func(m transport.Message) error {
 					return mem.WritePage(int(m.Arg), m.Payload)
 				},
+				transport.MsgMemExtent: t.applyMemExtent,
 				transport.MsgCPUState: func(m transport.Message) error {
 					res.CPU = vm.CPUState{Registers: append([]byte(nil), m.Payload...)}
 					host.VM.SetCPU(res.CPU)
@@ -571,7 +573,8 @@ func MigrateDeltaDest(cfg Config, host Host, conn transport.Conn) (*DestResult, 
 					seen[int(m.Arg)]++
 					return nil
 				},
-				transport.MsgMemPage: t.applyPage,
+				transport.MsgMemPage:   t.applyPage,
+				transport.MsgMemExtent: t.applyMemExtent,
 				transport.MsgCPUState: func(m transport.Message) error {
 					res.CPU = vm.CPUState{Registers: append([]byte(nil), m.Payload...)}
 					host.VM.SetCPU(res.CPU)

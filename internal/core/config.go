@@ -100,10 +100,13 @@ type Config struct {
 	Streams int
 
 	// MaxExtentBlocks caps how many contiguous dirty blocks are coalesced
-	// into one MsgExtent frame. Zero or one reproduces the paper's
-	// block-per-message wire format (and is wire-compatible with it);
-	// larger values amortize the per-frame header and flush cost so
-	// iterations become bandwidth- rather than latency-bound.
+	// into one MsgExtent frame, and how many contiguous dirty memory pages
+	// into one MsgMemExtent frame. Zero or one reproduces the paper's
+	// block-per-message and Xen's page-per-message wire formats (and is
+	// wire-compatible with them); larger values amortize the per-frame
+	// header and flush cost so disk and memory iterations, and the freeze's
+	// residual pages, become bandwidth- rather than latency-bound. Every
+	// destination accepts both extent frames, so the knob is local.
 	MaxExtentBlocks int
 
 	// Workers sizes the source-side read→send worker pool and the

@@ -42,6 +42,12 @@ type env struct {
 
 func newEnv(t *testing.T) *env {
 	t.Helper()
+	return newEnvPages(t, testPages)
+}
+
+// newEnvPages is newEnv with a guest of the given memory size.
+func newEnvPages(t *testing.T, pages int) *env {
+	t.Helper()
 	e := &env{
 		t:       t,
 		srcDisk: blockdev.NewMemDisk(testBlocks, blockdev.BlockSize),
@@ -60,9 +66,9 @@ func newEnv(t *testing.T) *env {
 			t.Fatal(err)
 		}
 	}
-	srcVM := vm.New("guest", testDomain, testPages, 512)
+	srcVM := vm.New("guest", testDomain, pages, 512)
 	// initial memory image
-	for p := 0; p < testPages; p += 2 {
+	for p := 0; p < pages; p += 2 {
 		workload.FillBlock(buf, p+100000, 0)
 		if err := srcVM.Memory().WritePage(p, buf[:vm.PageSize]); err != nil {
 			t.Fatal(err)
@@ -123,7 +129,7 @@ func (e *env) checkConverged(cpu vm.CPUState) {
 	srcMem, dstMem := e.src.VM.Memory(), e.dst.VM.Memory()
 	a := make([]byte, vm.PageSize)
 	b := make([]byte, vm.PageSize)
-	for p := 0; p < testPages; p++ {
+	for p := 0; p < srcMem.NumPages(); p++ {
 		srcMem.ReadPage(p, a)
 		dstMem.ReadPage(p, b)
 		if !bytes.Equal(a, b) {

@@ -50,7 +50,6 @@ func MigrateDest(cfg Config, host Host, conn transport.Conn) (*DestResult, error
 type destRun struct {
 	*transfer
 
-	sc          *scatterPool
 	dd          *destDedup     // content-dedup session (nil unless negotiated)
 	deltaBlocks int            // blocks landed as delta patches (Report.DeltaBlocks)
 	transferred *bitmap.Bitmap // the freeze bitmap, set during pre-copy receive
@@ -90,6 +89,15 @@ func (d *destRun) noteRecvBlocks(lo, hi int) {
 	d.progMu.Unlock()
 }
 
+// noteRecvPages records pages received for the in-flight memory iteration.
+func (d *destRun) noteRecvPages(lo, hi int) {
+	d.progMu.Lock()
+	if bm := d.prog.recvMem; bm != nil && lo >= 0 && hi <= bm.Len() && lo < hi {
+		bm.SetRange(lo, hi)
+	}
+	d.progMu.Unlock()
+}
+
 // noteProgress applies one update to the progress record.
 func (d *destRun) noteProgress(fn func(*destProgress)) {
 	d.progMu.Lock()
@@ -122,6 +130,7 @@ func (d *destRun) run() (*DestResult, error) {
 	// exactly as the sequential loop did.
 	d.sc = newScatterPool(d.cfg.Workers)
 	defer d.sc.close()
+	d.recvPages = d.noteRecvPages
 
 	err := d.runPhases(
 		phase{PhaseHandshake, d.acceptHandshake},
@@ -240,11 +249,7 @@ func (d *destRun) preCopyReceive() error {
 			})
 		},
 		transport.MsgMemPage: func(m transport.Message) error {
-			d.noteProgress(func(p *destProgress) {
-				if n := int(m.Arg); p.recvMem != nil && n >= 0 && n < p.recvMem.Len() {
-					p.recvMem.Set(n)
-				}
-			})
+			d.noteRecvPages(int(m.Arg), int(m.Arg)+1)
 			return d.scatterApply(func() error {
 				if err := d.applyPage(m); err != nil {
 					return err
@@ -253,6 +258,7 @@ func (d *destRun) preCopyReceive() error {
 				return nil
 			})
 		},
+		transport.MsgMemExtent: d.applyMemExtent,
 		transport.MsgCPUState: d.drainOn(func(m transport.Message) error {
 			cpu := vm.CPUState{Registers: append([]byte(nil), m.Payload...)}
 			hostVM.SetCPU(cpu)

@@ -67,16 +67,26 @@ func (r *pipeRelinker) waitReconnect(token transport.SessionToken, lastEpoch uin
 // the source's connections, returning both reports.
 func (e *env) runResumable(t *testing.T, scripts ...[]transport.Fault) (*DestResult, int64) {
 	t.Helper()
+	return e.runResumableCfg(t, Config{}, scripts...)
+}
+
+// runResumableCfg is runResumable over a caller-chosen base source config:
+// the reconnect wiring and retries are layered on top, OnFreeze defaults to
+// the router's freeze, and the destination shares MaxExtentBlocks and
+// Workers.
+func (e *env) runResumableCfg(t *testing.T, base Config, scripts ...[]transport.Fault) (*DestResult, int64) {
+	t.Helper()
 	inj := transport.NewInjector(scripts...)
 	relink := newPipeRelinker(inj)
 
-	srcCfg := Config{
-		MaxRetries:   5,
-		RetryBackoff: time.Millisecond,
-		Redial:       relink.redial,
-		OnFreeze:     e.router.Freeze,
+	srcCfg := base
+	srcCfg.MaxRetries = 5
+	srcCfg.RetryBackoff = time.Millisecond
+	srcCfg.Redial = relink.redial
+	if srcCfg.OnFreeze == nil {
+		srcCfg.OnFreeze = e.router.Freeze
 	}
-	dstCfg := Config{WaitReconnect: relink.waitReconnect}
+	dstCfg := Config{WaitReconnect: relink.waitReconnect, MaxExtentBlocks: base.MaxExtentBlocks, Workers: base.Workers}
 
 	srcCh := make(chan error, 1)
 	var rep *metrics.Report

@@ -14,7 +14,7 @@ import "sync"
 //
 // With workers <= 1 the pool runs every apply inline, byte-for-byte the
 // seed's sequential behavior (errors surface immediately rather than at the
-// next drain).
+// next drain). A nil pool behaves the same way.
 type scatterPool struct {
 	jobs chan func() error
 
@@ -58,7 +58,7 @@ func newScatterPool(workers int) *scatterPool {
 // returned eagerly so the receive loop aborts instead of queueing onto a
 // failed device.
 func (p *scatterPool) do(fn func() error) error {
-	if p.jobs == nil {
+	if p == nil || p.jobs == nil {
 		return fn()
 	}
 	p.mu.Lock()

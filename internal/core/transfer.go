@@ -66,6 +66,12 @@ type transfer struct {
 	takeDeltaNaks func() []uint64
 	deltaBlocks   int
 	deltaPending  int
+
+	// destination apply state, wired by a TPM destination only. sc is the
+	// scatter pool data frames are applied through (nil applies inline);
+	// recvPages records a received page range in the resume cursor.
+	sc        *scatterPool
+	recvPages func(lo, hi int)
 }
 
 // newTransfer decorates conn and assembles the substrate. cfg must already
@@ -226,17 +232,18 @@ func (t *transfer) acceptHandshake() error {
 	return t.send(transport.Message{Type: transport.MsgHelloAck, Arg: ackArg}, false)
 }
 
-// effectiveMaxExtent bounds an extent limit by what one frame may carry
+// effectiveMaxExtent bounds an extent limit, counted in units of unitSize
+// bytes (disk blocks or memory pages), by what one frame may carry
 // (MaxPayload, minus one byte for the marker a Compressed decorator prepends
-// to incompressible payloads) and what the device holds, so an oversized
-// limit can neither demand absurd staging buffers nor produce unencodable
-// frames.
-func effectiveMaxExtent(maxExt int, dev blockdev.Device) int {
-	if limit := (transport.MaxPayload - 1) / dev.BlockSize(); maxExt > limit {
+// to incompressible payloads) and by numUnits, the size of the device or
+// memory, so an oversized limit can neither demand absurd staging buffers
+// nor produce unencodable frames.
+func effectiveMaxExtent(maxExt, unitSize, numUnits int) int {
+	if limit := (transport.MaxPayload - 1) / unitSize; maxExt > limit {
 		maxExt = limit
 	}
-	if n := dev.NumBlocks(); maxExt > n {
-		maxExt = n
+	if maxExt > numUnits {
+		maxExt = numUnits
 	}
 	if maxExt < 1 {
 		maxExt = 1
@@ -246,7 +253,8 @@ func effectiveMaxExtent(maxExt int, dev blockdev.Device) int {
 
 // extentBlocks asks the policy for the live coalescing limit and clamps it.
 func (t *transfer) extentBlocks(phase string) int {
-	return effectiveMaxExtent(t.pol.ExtentBlocks(phase, t.cfg.MaxExtentBlocks), t.host.Backend.Device())
+	dev := t.host.Backend.Device()
+	return effectiveMaxExtent(t.pol.ExtentBlocks(phase, t.cfg.MaxExtentBlocks), dev.BlockSize(), dev.NumBlocks())
 }
 
 // extentMessage frames one extent's data. Single-block extents keep the
@@ -507,26 +515,41 @@ func (t *transfer) sendExtentsReadahead(bm *bitmap.Bitmap, phaseName string, lim
 	return sent, bytes, nil
 }
 
-// sendPages streams every page marked in bm. Pages are never coalesced —
-// each MsgMemPage is its own frame, the Xen-style format.
+// sendPages streams every page marked in bm, coalescing each run of up to
+// Config.MaxExtentBlocks contiguous pages into one MsgMemExtent frame. A
+// single-page run stays a MsgMemPage, so with the default limit of one every
+// frame is the Xen-style per-page format. Memory uses the configured limit
+// as is: the policy's ExtentBlocks and ObserveExtent hooks steer disk
+// coalescing only.
 func (t *transfer) sendPages(bm *bitmap.Bitmap, limited bool) (int, int64, error) {
 	mem := t.host.VM.Memory()
-	buf := transport.GetBuf(mem.PageSize())
-	defer transport.PutBuf(buf)
+	ps := mem.PageSize()
+	maxExt := effectiveMaxExtent(t.cfg.MaxExtentBlocks, ps, mem.NumPages())
+	var buf []byte
+	if n := min(maxExt, bm.Count()); n > 0 {
+		buf = transport.GetBuf(n * ps)
+		defer transport.PutBuf(buf)
+	}
 	sent := 0
 	var bytes int64
 	var fail error
-	bm.ForEachSet(func(n int) bool {
-		if err := mem.ReadPage(n, buf); err != nil {
-			fail = err
-			return false
+	bm.ForEachExtent(maxExt, func(e bitmap.Extent) bool {
+		data := buf[:e.Count*ps]
+		for k := 0; k < e.Count; k++ {
+			if err := mem.ReadPage(e.Start+k, data[k*ps:(k+1)*ps]); err != nil {
+				fail = err
+				return false
+			}
 		}
-		m := transport.Message{Type: transport.MsgMemPage, Arg: uint64(n), Payload: buf}
+		m := transport.Message{Type: transport.MsgMemPage, Arg: uint64(e.Start), Payload: data}
+		if e.Count > 1 {
+			m = transport.Message{Type: transport.MsgMemExtent, Arg: transport.ExtentArg(e.Start, e.Count), Payload: data}
+		}
 		if err := t.send(m, limited); err != nil {
 			fail = err
 			return false
 		}
-		sent++
+		sent += e.Count
 		bytes += int64(m.FrameSize())
 		return true
 	})
@@ -674,13 +697,27 @@ func (t *transfer) memPreCopy(rep *metrics.Report) error {
 
 // checkExtent validates a MsgExtent frame against the prepared VBD.
 func (t *transfer) checkExtent(m transport.Message) (bitmap.Extent, error) {
-	start, count := transport.ExtentSplit(m.Arg)
 	dev := t.host.Backend.Device()
-	if count < 1 || start < 0 || start+count > dev.NumBlocks() {
-		return bitmap.Extent{}, fmt.Errorf("core: extent [%d,+%d) outside %d-block VBD", start, count, dev.NumBlocks())
+	return checkUnits(m, "extent", "block VBD", dev.BlockSize(), dev.NumBlocks())
+}
+
+// checkMemExtent validates a MsgMemExtent frame against the VM shell's
+// memory.
+func (t *transfer) checkMemExtent(m transport.Message) (bitmap.Extent, error) {
+	mem := t.host.VM.Memory()
+	return checkUnits(m, "memory extent", "page memory", mem.PageSize(), mem.NumPages())
+}
+
+// checkUnits validates an extent frame's packed range against numUnits and
+// its payload against unitSize bytes per unit. It rejects the frame before
+// anything is written, so a malformed extent never lands partially.
+func checkUnits(m transport.Message, what, target string, unitSize, numUnits int) (bitmap.Extent, error) {
+	start, count := transport.ExtentSplit(m.Arg)
+	if count < 1 || start < 0 || start+count > numUnits {
+		return bitmap.Extent{}, fmt.Errorf("core: %s [%d,+%d) outside %d-%s", what, start, count, numUnits, target)
 	}
-	if want := count * dev.BlockSize(); len(m.Payload) != want {
-		return bitmap.Extent{}, fmt.Errorf("core: extent [%d,+%d) payload %d bytes, want %d", start, count, len(m.Payload), want)
+	if want := count * unitSize; len(m.Payload) != want {
+		return bitmap.Extent{}, fmt.Errorf("core: %s [%d,+%d) payload %d bytes, want %d", what, start, count, len(m.Payload), want)
 	}
 	return bitmap.Extent{Start: start, Count: count}, nil
 }
@@ -715,6 +752,31 @@ func (t *transfer) applyPage(m transport.Message) error {
 		return fmt.Errorf("core: apply page %d: %w", m.Arg, err)
 	}
 	return nil
+}
+
+// applyMemExtent validates one MsgMemExtent frame, reports its page range to
+// the resume cursor (recvPages, wired only by a TPM destination), and
+// scatters the pages into the VM shell's memory through sc (nil applies
+// inline), releasing the payload once every page is written.
+func (t *transfer) applyMemExtent(m transport.Message) error {
+	ext, err := t.checkMemExtent(m)
+	if err != nil {
+		return err
+	}
+	if t.recvPages != nil {
+		t.recvPages(ext.Start, ext.End())
+	}
+	mem := t.host.VM.Memory()
+	payload, ps := m.Payload, mem.PageSize()
+	return t.sc.do(func() error {
+		for k := 0; k < ext.Count; k++ {
+			if err := mem.WritePage(ext.Start+k, payload[k*ps:(k+1)*ps]); err != nil {
+				return fmt.Errorf("core: apply page %d: %w", ext.Start+k, err)
+			}
+		}
+		transport.PutBuf(payload)
+		return nil
+	})
 }
 
 // takeResume consumes the re-entry state for one phase, if any.

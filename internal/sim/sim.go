@@ -57,9 +57,10 @@ type Params struct {
 	// path fans frames across; zero or one models the paper's single blkd
 	// socket.
 	Streams int
-	// MaxExtentBlocks is the per-frame block coalescing limit; zero or one
-	// models the paper's block-per-message format. Larger extents amortize
-	// the per-frame header and the FrameLatency stall.
+	// MaxExtentBlocks is the per-frame coalescing limit for disk blocks and
+	// memory pages alike; zero or one models the paper's block-per-message
+	// and Xen's page-per-message formats. Larger extents amortize the
+	// per-frame header and the FrameLatency stall.
 	MaxExtentBlocks int
 	// FrameLatency is the per-frame serialization stall of the transfer
 	// path (per-message flush and handling). It is amortized across the
@@ -222,7 +223,7 @@ type sim struct {
 
 	memDirty float64 // expected dirty pages (analytic hot-set model)
 	memProf  workload.MemoryProfile
-	memPhase bool // memory pre-copy active: frames are single pages
+	memPhase bool // memory pre-copy active: frames carry pages, not blocks
 	extent   int  // live extent coalescing limit (adaptive growth)
 
 	outageArmed   bool          // OutageAt not yet reached
@@ -513,12 +514,12 @@ func (s *sim) growExtent() {
 }
 
 // migFrameBytes returns the payload+header size of one frame in the current
-// phase: disk phases coalesce up to the live extent limit per frame, but
-// the engine never coalesces memory pages — each MsgMemPage is its own
-// frame — so the stall amortization must not flatter the memory pre-copy.
+// phase: disk phases coalesce up to the live extent limit per frame, and the
+// memory phase up to MaxExtentBlocks pages (the engine's MEM_EXTENT frames;
+// memory ignores the adaptive growth, as the engine's policy hooks do).
 func (s *sim) migFrameBytes() float64 {
 	if s.memPhase {
-		return 4096 + frameOverhead
+		return float64(4096*min(s.p.MaxExtentBlocks, s.numPages) + frameOverhead)
 	}
 	return float64(blockdev.BlockSize*s.liveExtent() + frameOverhead)
 }

@@ -156,6 +156,11 @@ const (
 	// a patch whose verification failed, and the source re-sends that
 	// extent literally before ending the pass — degraded, never wrong.
 	MsgDeltaPatch
+	// MsgMemExtent carries a run of contiguous memory pages in one frame,
+	// the memory counterpart of MsgExtent: Arg packs the start page and page
+	// count (ExtentArg/ExtentSplit) and the payload is the concatenated page
+	// data. A single-page run always travels as MsgMemPage instead.
+	MsgMemExtent
 )
 
 // String implements fmt.Stringer.
@@ -172,7 +177,7 @@ func (t MsgType) String() string {
 		MsgSessionResume: "SESSION_RESUME", MsgSessionAck: "SESSION_ACK",
 		MsgHashAdvert: "HASH_ADVERT", MsgHashWant: "HASH_WANT", MsgBlockRef: "BLOCK_REF",
 		MsgSwarmHello: "SWARM_HELLO", MsgSwarmFetch: "SWARM_FETCH", MsgSwarmBlock: "SWARM_BLOCK",
-		MsgDeltaSig: "DELTA_SIG", MsgDeltaPatch: "DELTA_PATCH",
+		MsgDeltaSig: "DELTA_SIG", MsgDeltaPatch: "DELTA_PATCH", MsgMemExtent: "MEM_EXTENT",
 	}
 	if s, ok := names[t]; ok {
 		return s
@@ -294,13 +299,13 @@ const ProtocolVersion = 1
 // (the seed wire format) declines: the session runs fail-fast.
 const HelloAckResume uint64 = 1 << 0
 
-// MaxExtentBlocks bounds the block count of one MsgExtent frame: 2^24-1
-// blocks (64 GiB of 4 KiB blocks), far above anything MaxPayload admits, so
-// the packing never constrains a legal frame.
+// MaxExtentBlocks bounds the unit count of one MsgExtent or MsgMemExtent
+// frame: 2^24-1 blocks or pages (64 GiB of 4 KiB units), far above anything
+// MaxPayload admits, so the packing never constrains a legal frame.
 const MaxExtentBlocks = 1<<24 - 1
 
-// ExtentArg packs a start block and block count into a MsgExtent Arg: the
-// start in the low 40 bits, the count in the next 24.
+// ExtentArg packs a start block (or page) and count into a MsgExtent (or
+// MsgMemExtent) Arg: the start in the low 40 bits, the count in the next 24.
 func ExtentArg(start, count int) uint64 {
 	if start < 0 || uint64(start) >= 1<<40 || count < 1 || count > MaxExtentBlocks {
 		panic(fmt.Sprintf("transport: extent [%d,+%d) unpackable", start, count))
@@ -308,7 +313,7 @@ func ExtentArg(start, count int) uint64 {
 	return uint64(start) | uint64(count)<<40
 }
 
-// ExtentSplit unpacks a MsgExtent Arg into start block and block count.
+// ExtentSplit unpacks a MsgExtent or MsgMemExtent Arg into start and count.
 func ExtentSplit(arg uint64) (start, count int) {
 	return int(arg & (1<<40 - 1)), int(arg >> 40)
 }

@@ -80,7 +80,7 @@ const MaxStreams = 255
 // the destination's scatter pool may apply out of order. The two uses must
 // agree, which is why there is exactly one copy of this predicate.
 func IsDataFrame(t MsgType) bool {
-	return t == MsgBlockData || t == MsgExtent || t == MsgMemPage
+	return t == MsgBlockData || t == MsgExtent || t == MsgMemPage || t == MsgMemExtent
 }
 
 // NewStriped builds a logical connection over conns. conns[0] is the control

@@ -319,3 +319,22 @@ func TestMsgTypeString(t *testing.T) {
 		t.Fatal("unknown type has empty string")
 	}
 }
+
+// TestMemExtentFrame pins MsgMemExtent's wire number (the enum is part of the
+// wire format, appended after MsgDeltaPatch) and its data-frame class, which
+// lets Striped fan it out and the destination scatter-apply it.
+func TestMemExtentFrame(t *testing.T) {
+	if MsgMemExtent != 33 {
+		t.Fatalf("MsgMemExtent = %d, want 33", MsgMemExtent)
+	}
+	if MsgMemExtent.String() != "MEM_EXTENT" {
+		t.Fatal(MsgMemExtent.String())
+	}
+	if !IsDataFrame(MsgMemExtent) || !IsDataFrame(MsgMemPage) {
+		t.Fatal("memory frames must be data frames")
+	}
+	start, count := ExtentSplit(ExtentArg(1<<30, 16))
+	if start != 1<<30 || count != 16 {
+		t.Fatalf("ExtentSplit = %d,%d", start, count)
+	}
+}
