@@ -34,6 +34,7 @@ package forecast
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -102,7 +103,7 @@ type Model struct {
 	mu  sync.Mutex
 	cfg Config
 
-	ring  []sample // fixed-capacity ring, chronological from start
+	ring  []sample // fixed-capacity ring, chronological from start; refresh rotates start to 0
 	start int      // index of the oldest sample
 	n     int      // live sample count
 
@@ -123,7 +124,6 @@ type Model struct {
 	periodScore float64
 	bucketRate  []float64 // per-phase-bucket duration-weighted mean rate
 	bucketHas   []bool
-	chron       []sample // scratch: chronological view of the ring
 }
 
 // NewModel returns an empty model with cfg's (defaulted) parameters.
@@ -360,11 +360,13 @@ func (m *Model) refreshLocked() {
 	m.periodic = false
 	m.periodScore = 0
 
-	m.chron = m.chron[:0]
-	for i := 0; i < m.n; i++ {
-		m.chron = append(m.chron, m.ring[(m.start+i)%len(m.ring)])
+	if m.start != 0 { // wrapped (start moves only once full): rotate in place
+		slices.Reverse(m.ring[:m.start])
+		slices.Reverse(m.ring[m.start:])
+		slices.Reverse(m.ring)
+		m.start = 0
 	}
-	n := len(m.chron)
+	n, chron := m.n, m.ring[:m.n]
 	if n < 8 {
 		return
 	}
@@ -374,11 +376,11 @@ func (m *Model) refreshLocked() {
 	// so the search starts after the correlation first dips — the first
 	// peak past the dip is the fundamental period, not a harmonic.
 	mean, va := 0.0, 0.0
-	for _, s := range m.chron {
+	for _, s := range chron {
 		mean += s.rate
 	}
 	mean /= float64(n)
-	for _, s := range m.chron {
+	for _, s := range chron {
 		va += (s.rate - mean) * (s.rate - mean)
 	}
 	va /= float64(n)
@@ -389,7 +391,7 @@ func (m *Model) refreshLocked() {
 	for lag := 2; lag <= n/2; lag++ {
 		var num float64
 		for i := 0; i+lag < n; i++ {
-			num += (m.chron[i].rate - mean) * (m.chron[i+lag].rate - mean)
+			num += (chron[i].rate - mean) * (chron[i+lag].rate - mean)
 		}
 		scores[lag] = num / (float64(n-lag) * va)
 	}
@@ -421,15 +423,13 @@ func (m *Model) refreshLocked() {
 	m.periodScore = bestR
 
 	// Duration-weighted per-phase-bucket means over the ring.
-	if cap(m.bucketRate) < m.cfg.Buckets {
+	if m.bucketRate == nil {
 		m.bucketRate = make([]float64, m.cfg.Buckets)
 		m.bucketHas = make([]bool, m.cfg.Buckets)
 	}
-	m.bucketRate = m.bucketRate[:m.cfg.Buckets]
-	m.bucketHas = m.bucketHas[:m.cfg.Buckets]
 	sums := make([]float64, m.cfg.Buckets)
 	weights := make([]float64, m.cfg.Buckets)
-	for _, s := range m.chron {
+	for _, s := range chron {
 		w := s.dur.Seconds()
 		if w <= 0 {
 			continue

@@ -82,8 +82,8 @@ type FleetParams struct {
 	Shape FleetShape
 	// Predictive selects the scheduling policy: false migrates each host's
 	// domains in index order as slots free (reactive); true feeds a
-	// forecast.Model per domain from warmup heartbeats and starts each
-	// migration on the quietest candidate, waiting for the earliest
+	// forecast.Model per drained domain from warmup heartbeats and starts
+	// each migration on the quietest candidate, waiting for the earliest
 	// predicted trough when every candidate is loud.
 	Predictive bool
 
@@ -306,22 +306,23 @@ func fdur(sec float64) time.Duration {
 	return time.Duration(sec * float64(time.Second))
 }
 
-// warmupModels feeds every domain's forecast model the heartbeat counter
-// stream an autopilot would see: cumulative writes at Heartbeat cadence for
-// WarmupPeriods periods. Counters accumulate incrementally, so warmup is
-// O(domains × beats) regardless of shape.
-func warmupModels(p FleetParams, doms []fleetDomain) {
+// warmupModels feeds a forecast model for each domain on the drained hosts
+// (the only models pickMigration queries; the rest stay nil) the heartbeat
+// counters an autopilot would see: cumulative writes at Heartbeat cadence for
+// WarmupPeriods periods, one model at a time — O(drained domains × beats).
+func warmupModels(p FleetParams, doms []fleetDomain, drained int) {
 	beats := int(time.Duration(p.WarmupPeriods) * p.Period / p.Heartbeat)
-	cum := make([]float64, len(doms))
 	for i := range doms {
-		doms[i].mdl = forecast.NewModel(forecast.Config{})
-	}
-	for b := 1; b <= beats; b++ {
-		at := time.Duration(b) * p.Heartbeat
-		for i := range doms {
-			cum[i] += p.writesIn(doms, i, at-p.Heartbeat, at)
-			doms[i].mdl.ObserveCount(at, int64(cum[i]))
+		if i%p.Hosts >= drained {
+			continue
 		}
+		mdl, cum := forecast.NewModel(forecast.Config{}), 0.0
+		for b := 1; b <= beats; b++ {
+			at := time.Duration(b) * p.Heartbeat
+			cum += p.writesIn(doms, i, at-p.Heartbeat, at)
+			mdl.ObserveCount(at, int64(cum))
+		}
+		doms[i].mdl = mdl
 	}
 }
 
@@ -357,12 +358,10 @@ func (p FleetParams) pickMigration(doms []fleetDomain, pending []int, now time.D
 				break
 			}
 		}
-		if rem < p.predictTotal(doms, i, now) {
-			continue // trough too short to finish in — migrating would cross
+		if rem >= bestRem || rem < p.predictTotal(doms, i, now) {
+			continue // no better than the pick so far, or too short to finish in
 		}
-		if rem < bestRem {
-			best, bestRem = k, rem
-		}
+		best, bestRem = k, rem
 	}
 	if best >= 0 {
 		return best, now
@@ -418,7 +417,7 @@ func RunFleet(p FleetParams) FleetRow {
 	}
 	drainAt := time.Duration(p.WarmupPeriods) * p.Period
 	if p.Predictive {
-		warmupModels(p, doms)
+		warmupModels(p, doms, drained)
 	}
 
 	var duration, downtime, retrans metrics.StreamStats
