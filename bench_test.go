@@ -547,6 +547,76 @@ func BenchmarkMigrateTCP_Compressed(b *testing.B) {
 	benchMigrateKernelBuild(b, core.Config{MaxExtentBlocks: 64, CompressLevel: 1, Workers: 4})
 }
 
+// BenchmarkMigrateTCP_DedupClone evacuates a half-template clone to a
+// destination that hosts the template sibling, with Dedup and the fastest
+// DEFLATE level negotiated. Each iteration fingerprints the sibling into a
+// fresh index (the receiving host's scan) before the migration, so the row
+// prices the scan, the advert/want round trips and compression together.
+func BenchmarkMigrateTCP_DedupClone(b *testing.B) {
+	const blocks = 16384
+	sibling := kernelBuildDisk(blocks)
+	srcDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+	buf := make([]byte, blockdev.BlockSize)
+	for n := 0; n < blocks; n++ {
+		if n < blocks/2 {
+			if err := sibling.ReadBlock(n, buf); err != nil {
+				b.Fatal(err)
+			}
+		} else {
+			workload.FillBlock(buf, n, 2) // the clone's own writes
+		}
+		if err := srcDisk.WriteBlock(n, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := core.Config{Dedup: true, CompressLevel: 1, MaxExtentBlocks: 64}
+	b.SetBytes(int64(blocks) * blockdev.BlockSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := transport.Listen("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+		guest := vm.New("g", 1, 64, 256)
+		src := core.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, 1)}
+		dst := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, 1)}
+		errCh := make(chan error, 1)
+		go func() {
+			idx := dedup.NewIndex(blockdev.BlockSize)
+			if err := idx.RegisterSource("sibling", sibling); err != nil {
+				errCh <- err
+				return
+			}
+			if _, err := idx.ScanSource("sibling"); err != nil {
+				errCh <- err
+				return
+			}
+			dcfg := cfg
+			dcfg.DedupIndex = idx
+			conn, err := transport.Accept(l)
+			if err == nil {
+				defer conn.Close()
+				_, err = core.MigrateDest(dcfg, dst, conn)
+			}
+			errCh <- err
+		}()
+		cs, err := transport.Dial(l.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.MigrateSource(cfg, src, cs, nil); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-errCh; err != nil {
+			b.Fatal(err)
+		}
+		cs.Close()
+		l.Close()
+	}
+}
+
 // BenchmarkMigrateTCP_CpBaseline is the wire-speed floor the migration
 // engine is chasing: the same 64 MiB image pushed through a raw TCP socket
 // in 256 KiB chunks and written block-by-block on the far side — `cp` over

@@ -15,6 +15,7 @@ import (
 	"bbmig/internal/blockdev"
 	"bbmig/internal/blockdev/bcache"
 	"bbmig/internal/core"
+	"bbmig/internal/dedup"
 	"bbmig/internal/sim"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
@@ -146,6 +147,84 @@ func tcpMigrate(b *testing.B, blocks int, cfg core.Config) {
 		} else {
 			cs, err = transport.Dial(l.Addr().String())
 		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.MigrateSource(cfg, src, cs, nil); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-errCh; err != nil {
+			b.Fatal(err)
+		}
+		cs.Close()
+		l.Close()
+	}
+}
+
+// cloneImages builds the dedup-clone shape: a template sibling (the
+// kernel-build image) that the destination already hosts, and a clone
+// whose first half is the template's content and whose second half the
+// clone wrote itself.
+func cloneImages(blocks int) (sibling, clone *blockdev.MemDisk) {
+	sibling = kernelImage(blocks, 20000)
+	clone = blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+	buf := make([]byte, blockdev.BlockSize)
+	for n := 0; n < blocks; n++ {
+		if n < blocks/2 {
+			if err := sibling.ReadBlock(n, buf); err != nil {
+				panic(err)
+			}
+		} else {
+			workload.FillBlock(buf, n, 2)
+		}
+		if err := clone.WriteBlock(n, buf); err != nil {
+			panic(err)
+		}
+	}
+	return sibling, clone
+}
+
+// tcpDedupClone evacuates a half-template clone over loopback TCP to a
+// destination that hosts the template sibling, with Dedup and the fastest
+// DEFLATE level negotiated: each iteration fingerprints the sibling into a
+// fresh index (the receiving host's scan), then migrates, so the row prices
+// the scan, the advert/want round trips and the compression together.
+func tcpDedupClone(b *testing.B, blocks int) {
+	sibling, srcDisk := cloneImages(blocks)
+	cfg := core.Config{Dedup: true, CompressLevel: 1, MaxExtentBlocks: 64}
+	b.SetBytes(int64(blocks) * blockdev.BlockSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := transport.Listen("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+		guest := vm.New("g", 1, 64, 256)
+		src := core.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, 1)}
+		dst := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, 1)}
+		errCh := make(chan error, 1)
+		go func() {
+			idx := dedup.NewIndex(blockdev.BlockSize)
+			if err := idx.RegisterSource("sibling", sibling); err != nil {
+				errCh <- err
+				return
+			}
+			if _, err := idx.ScanSource("sibling"); err != nil {
+				errCh <- err
+				return
+			}
+			dcfg := cfg
+			dcfg.DedupIndex = idx
+			conn, err := transport.Accept(l)
+			if err == nil {
+				defer conn.Close()
+				_, err = core.MigrateDest(dcfg, dst, conn)
+			}
+			errCh <- err
+		}()
+		cs, err := transport.Dial(l.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -374,6 +453,8 @@ func runJSON(path string, seed int64) error {
 		}))
 	add("MigrateTCP/cp-baseline",
 		testing.Benchmark(func(b *testing.B) { tcpCpBaseline(b, tcpBlocks) }))
+	add("MigrateTCP/dedup-clone",
+		testing.Benchmark(func(b *testing.B) { tcpDedupClone(b, tcpBlocks) }))
 
 	// WAN return trip: hot-rewrite divergence back toward the stale-copy
 	// holder, literal vs delta-encoded.

@@ -145,16 +145,6 @@ func (p *BudgetPolicy) ObserveCompression(kind transport.MsgType, rawLen, wireLe
 	p.inner().ObserveCompression(kind, rawLen, wireLen)
 }
 
-// DedupExtent delegates to the inner policy.
-func (p *BudgetPolicy) DedupExtent(phase string, blocks int) bool {
-	return p.inner().DedupExtent(phase, blocks)
-}
-
-// DeltaExtent delegates to the inner policy.
-func (p *BudgetPolicy) DeltaExtent(phase string, blocks int) bool {
-	return p.inner().DeltaExtent(phase, blocks)
-}
-
 // PrecopyRate returns min(inner verdict, live budget share). Note the
 // engine only honours live rate changes when the migration starts with a
 // finite rate (a limiter must exist to retune); a finite RateBudget

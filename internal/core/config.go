@@ -123,8 +123,9 @@ type Config struct {
 	// frame sequence stays identical to the sequential path, so the knob is
 	// purely local and needs no negotiation. Ignored when Workers > 1 (the
 	// worker pool already overlaps reads and sends) and on the dedup path
-	// (the advert/want alternation is inherently sequential). Zero (the
-	// default) keeps the fully sequential read→send loop.
+	// (its window of outstanding adverts overlaps reads with the round
+	// trips instead). Zero (the default) keeps the fully sequential
+	// read→send loop.
 	Readahead int
 
 	// CompressLevel, when non-zero, DEFLATE-compresses the migration stream
@@ -146,11 +147,13 @@ type Config struct {
 	// elided without a round trip. Like Streams and CompressLevel this is
 	// negotiated — both endpoints must agree or the destination rejects the
 	// unexpected frames; hostd carries it in the announce and an
-	// unconfigured receiver adopts the sender's choice. The Policy's
-	// DedupExtent verdict gates the round trip per extent. The dedup send
-	// path is sequential (Workers does not parallelize it), and memory
-	// pages, freeze-and-copy, and post-copy pushes always travel literally.
-	// False (the default) keeps the seed wire format byte for byte.
+	// unconfigured receiver adopts the sender's choice. Without Delta the
+	// destination offers a window of outstanding adverts in its HELLO_ACK
+	// and the source pipelines up to four round trips; extents still
+	// finish in cursor order, so Workers does not parallelize the path.
+	// Memory pages, freeze-and-copy, and post-copy pushes always travel
+	// literally. False (the default) keeps the seed wire format byte for
+	// byte.
 	Dedup bool
 
 	// DedupIndex is the destination-side fingerprint index consulted to
@@ -208,14 +211,13 @@ type Config struct {
 	// never wrong. Like Dedup this is negotiated: both endpoints must agree
 	// or the destination rejects the unexpected frames; hostd carries it in
 	// the announce and an unconfigured receiver adopts the sender's choice.
-	// The Policy's DeltaExtent verdict gates the round trip per extent.
 	// With Dedup also negotiated, delta replaces the literal sends for the
 	// blocks the destination's want-bitmap asked for, composing the two:
 	// exact matches travel as 16-byte references, near matches as patches.
-	// The delta send path is sequential (each extent is a round trip), and
-	// memory pages, freeze-and-copy, and post-copy pushes always travel
-	// literally. False (the default) keeps the seed wire format byte for
-	// byte.
+	// The delta send path keeps one round trip outstanding (with Dedup
+	// too, the advert exchange stays one advert at a time), and memory
+	// pages, freeze-and-copy, and post-copy pushes always travel literally.
+	// False (the default) keeps the seed wire format byte for byte.
 	Delta bool
 
 	// DeltaChunk is the signature chunk size in bytes used by the

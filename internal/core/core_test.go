@@ -227,7 +227,6 @@ func TestTPMUnderWorkload(t *testing.T) {
 	e := newEnv(t)
 	gen := workload.NewWebServer(testBlocks, 11)
 	stopIO := make(chan struct{})
-	stopMem := make(chan struct{})
 	var replayErr error
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -235,11 +234,11 @@ func TestTPMUnderWorkload(t *testing.T) {
 		defer wg.Done()
 		_, replayErr = workload.Replay(clockReal(), gen, testDomain, time.Hour, 200, e.submitVerified, stopIO)
 	}()
-	go memDirtier(e.src.VM.Memory(), 32, stopMem)
+	stopMem := startDirtier(e.src.VM.Memory(), 32)
 
 	cfg := Config{
 		OnFreeze: func() {
-			close(stopMem) // guest pauses: memory writes stop
+			stopMem() // guest pauses: memory writes stop
 			e.router.Freeze()
 		},
 		OnResume: e.router.ResumeGate,

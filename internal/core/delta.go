@@ -57,7 +57,7 @@ func (t *transfer) sendExtentsDelta(bm *bitmap.Bitmap, phaseName string, limited
 				return sent, bytes, err
 			}
 		}
-		wire, err := t.sendDeltaExtent(ext, data, phaseName, limited)
+		wire, err := t.sendDeltaExtent(ext, data, limited)
 		if err != nil {
 			return sent, bytes, err
 		}
@@ -69,14 +69,10 @@ func (t *transfer) sendExtentsDelta(bm *bitmap.Bitmap, phaseName string, limited
 }
 
 // sendDeltaExtent moves one extent under the delta protocol and returns the
-// wire bytes it sent. The literal fallbacks — policy verdict false, or a
-// patch no smaller than the content — produce frames any delta-negotiated
-// destination accepts, so the round trip gates cost, never correctness.
-func (t *transfer) sendDeltaExtent(ext bitmap.Extent, data []byte, phaseName string, limited bool) (int64, error) {
-	if !t.pol.DeltaExtent(phaseName, ext.Count) {
-		m := extentMessage(ext, data)
-		return int64(m.FrameSize()), t.send(m, limited)
-	}
+// wire bytes it sent. The literal fallback — a patch no smaller than the
+// content — produces frames any delta-negotiated destination accepts, so
+// the round trip gates cost, never correctness.
+func (t *transfer) sendDeltaExtent(ext bitmap.Extent, data []byte, limited bool) (int64, error) {
 	arg := transport.ExtentArg(ext.Start, ext.Count)
 	req := transport.Message{Type: transport.MsgDeltaSig, Arg: arg}
 	if err := t.send(req, limited); err != nil {

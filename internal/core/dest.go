@@ -174,6 +174,11 @@ func (d *destRun) preCopyReceive() error {
 	// already-received set keeps accumulating so nothing is counted twice.
 	diskIterStart := func(m transport.Message) error {
 		curIter = int(m.Arg)
+		if d.dd != nil {
+			// The source drained its advert window before ITER_END; nothing
+			// staged or promised earlier can be referenced from here on.
+			d.dd.reset()
+		}
 		d.noteProgress(func(p *destProgress) {
 			if p.recvDisk == nil || p.recvDiskNum != uint32(curIter) {
 				p.recvDiskNum = uint32(curIter)

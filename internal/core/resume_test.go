@@ -86,7 +86,7 @@ func (e *env) runResumableCfg(t *testing.T, base Config, scripts ...[]transport.
 	if srcCfg.OnFreeze == nil {
 		srcCfg.OnFreeze = e.router.Freeze
 	}
-	dstCfg := Config{WaitReconnect: relink.waitReconnect, MaxExtentBlocks: base.MaxExtentBlocks, Workers: base.Workers}
+	dstCfg := Config{WaitReconnect: relink.waitReconnect, MaxExtentBlocks: base.MaxExtentBlocks, Workers: base.Workers, Dedup: base.Dedup, Delta: base.Delta}
 
 	srcCh := make(chan error, 1)
 	var rep *metrics.Report

@@ -223,7 +223,10 @@ func (s *sourceRun) startup() error {
 	s.resumedCh = make(chan time.Duration, 1)
 	s.doneCh = make(chan error, 1)
 	if s.cfg.Dedup {
-		s.wantCh = make(chan transport.Message, 8)
+		// Room for every outstanding advert's reply plus one stale reply a
+		// resumed destination may re-send from the dead epoch (see
+		// waitWant): readLoop delivers replies in order and never drops one.
+		s.wantCh = make(chan transport.Message, 2*advertWindow)
 		s.awaitWant = s.waitWant
 	}
 	if s.cfg.Delta {
@@ -235,9 +238,10 @@ func (s *sourceRun) startup() error {
 	return nil
 }
 
-// waitWant blocks until the destination's reply to the outstanding advert
-// arrives. Replies whose Arg does not echo the advert are stale — left over
-// from a connection epoch that died mid-round-trip — and are discarded. A
+// waitWant blocks until the destination's reply to the oldest outstanding
+// advert arrives; replies come back in advert order. Replies whose Arg does
+// not echo the advert are stale — a destination whose reply send died with
+// the link re-sends it on the resumed connection — and are discarded. A
 // destination failure surfaces through doneCh exactly as in post-copy.
 func (s *sourceRun) waitWant(arg uint64) ([]byte, error) {
 	for {
@@ -354,9 +358,9 @@ func (s *sourceRun) reconnect(attempt int) error {
 		}
 	default:
 	}
-	// Drop advert replies from the dead epoch: the next runFromCursor
-	// re-adverts whatever it re-sends, and the destination stages against
-	// the newest advert only.
+	// Drop advert replies from the dead epoch: the send path abandoned its
+	// window with the link, the next runFromCursor re-adverts whatever it
+	// re-sends, and the destination clears its staged adverts on resume.
 	for s.wantCh != nil {
 		select {
 		case <-s.wantCh:
@@ -719,29 +723,26 @@ func (s *sourceRun) readLoop(done chan struct{}) {
 				s.doneCh <- fmt.Errorf("core: HASH_WANT on a session without dedup")
 				return
 			}
-			// Non-blocking with drop-oldest: at most one advert is ever
-			// outstanding, so anything already buffered is a stale epoch's
-			// reply and the freshest frame is the one worth keeping.
-			for {
-				select {
-				case s.wantCh <- m:
-				default:
-					select {
-					case stale := <-s.wantCh:
-						stale.Release()
-					default:
-					}
-					continue
-				}
-				break
+			// FIFO and never dropped: with a window of adverts outstanding
+			// every buffered reply may be a live one. wantCh holds more
+			// replies than the source can have outstanding, so a full
+			// channel is a destination answering adverts never sent.
+			select {
+			case s.wantCh <- m:
+			default:
+				m.Release()
+				s.doneCh <- fmt.Errorf("core: HASH_WANT with no advert outstanding")
+				return
 			}
 		case transport.MsgDeltaSig:
 			if s.sigCh == nil {
 				s.doneCh <- fmt.Errorf("core: DELTA_SIG on a session without delta")
 				return
 			}
-			// Same drop-oldest discipline as MsgHashWant: at most one
-			// signature request (or fence) is ever outstanding.
+			// Non-blocking with drop-oldest: at most one signature request
+			// (or fence) is ever outstanding, so anything already buffered
+			// is a stale epoch's reply and the freshest frame is the one
+			// worth keeping.
 			for {
 				select {
 				case s.sigCh <- m:

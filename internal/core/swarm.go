@@ -29,8 +29,9 @@ type swarmPeer struct {
 
 // swarmClient fans fingerprint fetches across the sidecar sessions that
 // survived the hello exchange. Methods are called only from the
-// destination's receive loop (one advert at a time), but the per-fetch
-// fan-out runs one goroutine per peer.
+// destination's receive loop, which answers one advert at a time however
+// many the source keeps outstanding, but the per-fetch fan-out runs one
+// goroutine per peer.
 type swarmClient struct {
 	mu    sync.Mutex
 	peers []*swarmPeer

@@ -55,6 +55,10 @@ type transfer struct {
 	// paths. dedupBlocks counts blocks this source moved by reference.
 	awaitWant   func(arg uint64) ([]byte, error)
 	dedupBlocks int
+	// advertWindow is how many adverts the source keeps outstanding: the
+	// package advertWindow when the destination offered
+	// transport.HelloAckAdvertWindow (and Delta is off), else 1.
+	advertWindow int
 
 	// delta state (Config.Delta). awaitDeltaSig is the source's
 	// signature-reply hook, wired by sourceRun.startup (the endpoint read
@@ -179,6 +183,10 @@ func (t *transfer) handshake() error {
 		return fmt.Errorf("core: unexpected handshake reply %v", ack.Type)
 	}
 	t.sess.setResumable(t.sess.offered && ack.Arg&transport.HelloAckResume != 0)
+	t.advertWindow = 1
+	if offersAdvertWindow(t.cfg) && ack.Arg&transport.HelloAckAdvertWindow != 0 {
+		t.advertWindow = advertWindow
+	}
 	return nil
 }
 
@@ -229,6 +237,9 @@ func (t *transfer) acceptHandshake() error {
 			geom.NumPages, geom.PageSize, mem.NumPages(), mem.PageSize())
 	}
 	hello.Release() // token and geometry both copied out above
+	if offersAdvertWindow(t.cfg) {
+		ackArg |= transport.HelloAckAdvertWindow
+	}
 	return t.send(transport.Message{Type: transport.MsgHelloAck, Arg: ackArg}, false)
 }
 
@@ -275,10 +286,11 @@ func extentMessage(e bitmap.Extent, data []byte) transport.Message {
 func (t *transfer) sendBlocks(bm *bitmap.Bitmap, phaseName string, limited bool) (int, int64, error) {
 	if t.cfg.Dedup && t.awaitWant != nil {
 		// Negotiated content dedup replaces the literal paths for disk
-		// sends; the advert/want alternation is inherently sequential, so
+		// sends. Its overlap comes from the window of outstanding adverts,
+		// not from a worker pool: extents must finish in cursor order, so
 		// Workers does not apply here. When Delta is also negotiated the
 		// wanted (would-be literal) sub-runs route through the delta
-		// protocol inside sendDedupExtent.
+		// protocol inside finishAdvert.
 		return t.sendExtentsDedup(bm, phaseName, limited)
 	}
 	if t.cfg.Delta && t.awaitDeltaSig != nil {

@@ -84,7 +84,7 @@ func AppendFingerprints(buf []byte, fps []Fingerprint) []byte {
 // ParseFingerprints decodes a MsgHashAdvert / MsgBlockRef payload that must
 // carry exactly count fingerprints.
 func ParseFingerprints(payload []byte, count int) ([]Fingerprint, error) {
-	if len(payload) != count*FingerprintSize {
+	if count < 0 || len(payload)%FingerprintSize != 0 || len(payload)/FingerprintSize != count {
 		return nil, fmt.Errorf("dedup: fingerprint payload %d bytes, want %d×%d", len(payload), count, FingerprintSize)
 	}
 	fps := make([]Fingerprint, count)

@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 )
 
@@ -156,21 +157,105 @@ func (ix *Index) ScanSource(name string) (int, error) {
 // consistent image, while lookups still verify against the registered live
 // device, so an observation the guest overwrites mid-scan simply misses
 // later (it can never resolve to wrong bytes).
+//
+// Blocks are read in order on the calling goroutine and hashed on
+// GOMAXPROCS goroutines, a bounded number of batches at a time; the
+// observations are recorded in block order, so the index ends up exactly as
+// a one-block-at-a-time scan leaves it. On a read error the blocks before
+// the failing one are observed and counted, and the error is returned.
 func (ix *Index) ScanReader(name string, r BlockReader) (int, error) {
-	buf := make([]byte, ix.blockSize)
-	indexed := 0
-	for n := 0; n < r.NumBlocks(); n++ {
-		if err := r.ReadBlock(n, buf); err != nil {
-			return indexed, err
-		}
-		fp := Of(buf)
-		if fp == ix.zero {
-			continue
-		}
-		ix.Observe(name, n, fp)
-		indexed++
+	return ix.scan(name, r, runtime.GOMAXPROCS(0))
+}
+
+// scanBatchBlocks is how many blocks one scan batch carries: 256 KiB of
+// 4 KiB blocks, large enough that handing a batch to a hasher costs nothing
+// next to hashing it.
+const scanBatchBlocks = 64
+
+// scanBatch is one run of consecutive blocks between its read and its
+// observation.
+type scanBatch struct {
+	start, n int
+	buf      []byte
+	fps      []Fingerprint
+	done     chan struct{}
+}
+
+// scan is ScanReader on a given number of hashing goroutines.
+func (ix *Index) scan(name string, r BlockReader, workers int) (int, error) {
+	workers = max(workers, 1)
+	bs := ix.blockSize
+	total := r.NumBlocks()
+	// Batches in flight: each hasher has one to work on and one queued,
+	// plus the one being read. Memory stays bounded whatever the disk size.
+	inflight := 2*workers + 1
+	jobs := make(chan *scanBatch, inflight)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range jobs {
+				for k := 0; k < b.n; k++ {
+					b.fps[k] = Of(b.buf[k*bs : (k+1)*bs])
+				}
+				b.done <- struct{}{}
+			}
+		}()
 	}
-	return indexed, nil
+	defer func() {
+		close(jobs)
+		wg.Wait()
+	}()
+
+	indexed := 0
+	var pending []*scanBatch // submitted, oldest first
+	var free []*scanBatch
+	// observe waits for the oldest submitted batch and records its blocks.
+	observe := func() {
+		b := pending[0]
+		pending = pending[1:]
+		<-b.done
+		ix.mu.Lock()
+		for k := 0; k < b.n; k++ {
+			if b.fps[k] != ix.zero {
+				ix.observeLocked(name, b.start+k, b.fps[k])
+				indexed++
+			}
+		}
+		ix.mu.Unlock()
+		free = append(free, b)
+	}
+	var readErr error
+	for next := 0; next < total && readErr == nil; {
+		if len(pending) == inflight {
+			observe()
+		}
+		var b *scanBatch
+		if n := len(free); n > 0 {
+			b, free = free[n-1], free[:n-1]
+		} else {
+			b = &scanBatch{
+				buf:  make([]byte, scanBatchBlocks*bs),
+				fps:  make([]Fingerprint, scanBatchBlocks),
+				done: make(chan struct{}, 1),
+			}
+		}
+		b.start, b.n = next, min(scanBatchBlocks, total-next)
+		for k := 0; k < b.n; k++ {
+			if err := r.ReadBlock(next+k, b.buf[k*bs:(k+1)*bs]); err != nil {
+				b.n, readErr = k, err
+				break
+			}
+		}
+		next += b.n
+		jobs <- b
+		pending = append(pending, b)
+	}
+	for len(pending) > 0 {
+		observe()
+	}
+	return indexed, readErr
 }
 
 // Lookup materializes the content behind fp, or reports that the index

@@ -211,7 +211,7 @@ func (m *Machine) SyncOut(domainName, destHost, addr string, cfg core.Config) (*
 			}
 		}
 		if cfg.Dedup {
-			if err := syncSendDedup(meter, send, pol, rep, ext, data, bs); err != nil {
+			if err := syncSendDedup(meter, send, rep, ext, data, bs); err != nil {
 				return fail(err)
 			}
 		} else {
@@ -245,10 +245,10 @@ func (m *Machine) SyncOut(domainName, destHost, addr string, cfg core.Config) (*
 
 // syncSendDedup moves one pre-sync extent under the content-dedup protocol:
 // all-zero runs and destination-held content travel as 16-byte references,
-// the rest as literals — the engine's advert/want/ref alternation
-// (docs/WIRE.md §10) with the want reply read inline, since the sync stream
-// has no concurrent reader.
-func syncSendDedup(conn transport.Conn, send func(transport.Message) error, pol core.Policy, rep *SyncReport, ext bitmap.Extent, data []byte, bs int) error {
+// the rest as literals — the engine's advert/want/ref exchange with one
+// advert outstanding (docs/WIRE.md §10) and the want reply read inline,
+// since the sync stream has no concurrent reader.
+func syncSendDedup(conn transport.Conn, send func(transport.Message) error, rep *SyncReport, ext bitmap.Extent, data []byte, bs int) error {
 	zero := dedup.ZeroFingerprint(bs)
 	fps := make([]dedup.Fingerprint, ext.Count)
 	allZero := true
@@ -268,9 +268,6 @@ func syncSendDedup(conn transport.Conn, send func(transport.Message) error, pol 
 			return transport.Message{Type: transport.MsgBlockData, Arg: uint64(sub.Start), Payload: body}
 		}
 		return transport.Message{Type: transport.MsgExtent, Arg: transport.ExtentArg(sub.Start, sub.Count), Payload: body}
-	}
-	if !pol.DedupExtent("pre-sync", ext.Count) {
-		return send(literal(ext, data))
 	}
 	if err := send(transport.Message{Type: transport.MsgHashAdvert, Arg: arg, Payload: dedup.AppendFingerprints(nil, fps)}); err != nil {
 		return err

@@ -707,9 +707,11 @@ func (s *sim) transferWire(total float64) {
 // transferWireParallel advances time until both the main-channel bytes and
 // the swarm sidecar bytes have crossed. The flows are independent links:
 // the source stream rides the contended migration path (outages and all),
-// the swarm total drains at the peers' aggregate rate, and the iteration —
-// like the real destination, which answers the next advert only when the
-// current extent settles — finishes with the slower of the two.
+// the swarm total drains at the peers' aggregate rate, and the iteration
+// finishes with the slower of the two. The model prices the round trips
+// one advert at a time, like an engine source without the advert window
+// (the real source keeps up to four adverts outstanding, which this model
+// does not credit).
 func (s *sim) transferWireParallel(total, swarmTotal float64) {
 	remaining, swarmRemaining := total, swarmTotal
 	for remaining > 0 || swarmRemaining > 0 {

@@ -299,6 +299,13 @@ const ProtocolVersion = 1
 // (the seed wire format) declines: the session runs fail-fast.
 const HelloAckResume uint64 = 1 << 0
 
+// HelloAckAdvertWindow is set in MsgHelloAck.Arg by a destination that
+// accepts a window of outstanding MsgHashAdvert frames: it answers adverts
+// in order, keeps the staged content of the most recent ones, and holds
+// content it already asked for as a literal (docs/WIRE.md §10). Without the
+// bit the source keeps one advert outstanding, the seed dedup exchange.
+const HelloAckAdvertWindow uint64 = 1 << 1
+
 // MaxExtentBlocks bounds the unit count of one MsgExtent or MsgMemExtent
 // frame: 2^24-1 blocks or pages (64 GiB of 4 KiB units), far above anything
 // MaxPayload admits, so the packing never constrains a legal frame.
