@@ -111,9 +111,16 @@ func modeledMigrate(b *testing.B, blocks, extentBlocks int, adaptive bool) {
 // tcpMigrate runs one full migration of a kernel-build image over loopback
 // TCP under cfg — the real-socket arm of the suite, where the pooled buffer
 // discipline and vectored sends show up as allocs/op and MB/s. Both
-// endpoints share cfg, so the negotiated knobs always match.
-func tcpMigrate(b *testing.B, blocks int, cfg core.Config) {
-	srcDisk := kernelImage(blocks, 20000)
+// endpoints share cfg, so the negotiated knobs always match. A nonzero
+// cacheBlocks puts both disks behind a bcache of that many blocks.
+func tcpMigrate(b *testing.B, blocks, cacheBlocks int, cfg core.Config) {
+	cached := func(d blockdev.Device) blockdev.Device {
+		if cacheBlocks == 0 {
+			return d
+		}
+		return bcache.New(d, cacheBlocks)
+	}
+	srcDisk := cached(kernelImage(blocks, 20000))
 	b.SetBytes(int64(blocks) * blockdev.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -122,7 +129,7 @@ func tcpMigrate(b *testing.B, blocks int, cfg core.Config) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+		dstDisk := cached(blockdev.NewMemDisk(blocks, blockdev.BlockSize))
 		guest := vm.New("g", 1, 64, 256)
 		src := core.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, 1)}
 		dst := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, 1)}
@@ -442,14 +449,18 @@ func runJSON(path string, seed int64) error {
 	// dominates.
 	const tcpBlocks = 16384
 	add("MigrateTCP/cold",
-		testing.Benchmark(func(b *testing.B) { tcpMigrate(b, tcpBlocks, core.Config{MaxExtentBlocks: 64, Readahead: 4}) }))
+		testing.Benchmark(func(b *testing.B) { tcpMigrate(b, tcpBlocks, 0, core.Config{MaxExtentBlocks: 64, Readahead: 4}) }))
 	add("MigrateTCP/striped4",
 		testing.Benchmark(func(b *testing.B) {
-			tcpMigrate(b, tcpBlocks, core.Config{Streams: 4, MaxExtentBlocks: 64, Workers: 4})
+			tcpMigrate(b, tcpBlocks, 0, core.Config{Streams: 4, MaxExtentBlocks: 64, Workers: 4})
 		}))
 	add("MigrateTCP/compressed",
 		testing.Benchmark(func(b *testing.B) {
-			tcpMigrate(b, tcpBlocks, core.Config{MaxExtentBlocks: 64, CompressLevel: 1, Workers: 4})
+			tcpMigrate(b, tcpBlocks, 0, core.Config{MaxExtentBlocks: 64, CompressLevel: 1, Workers: 4})
+		}))
+	add("MigrateTCP/small-cache",
+		testing.Benchmark(func(b *testing.B) {
+			tcpMigrate(b, tcpBlocks, tcpBlocks/8, core.Config{MaxExtentBlocks: 64, Readahead: 4})
 		}))
 	add("MigrateTCP/cp-baseline",
 		testing.Benchmark(func(b *testing.B) { tcpCpBaseline(b, tcpBlocks) }))

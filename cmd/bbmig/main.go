@@ -123,7 +123,7 @@ func main() {
 		backoff    = flag.Duration("retry-backoff", 0, "send: base reconnect delay (doubles per attempt; 0 = default)")
 		journal    = flag.String("journal", "", "send: persist the migration journal (cursor + pending bitmap) to this file")
 		resume     = flag.Bool("resume", false, "send: cold-resume from -journal after a source restart (incremental re-run of the owed blocks)")
-		cacheBlk   = flag.Int("cache-blocks", 0, "front the image with a write-back block cache of this many blocks; migration reads come from CoW snapshots of it (0 = direct file I/O)")
+		cacheBlk   = flag.Int("cache-blocks", 0, "front the image with a block cache of this many blocks (write-back for cached blocks; a write that misses a full cache shard goes straight to the file); migration reads come from CoW snapshots of it (0 = direct file I/O)")
 	)
 	flag.Parse()
 

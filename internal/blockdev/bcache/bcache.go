@@ -2,7 +2,10 @@
 // copy-on-write snapshot layer behind the blockdev.Volume API.
 //
 // A Cache wraps any blockdev.Device and serves reads from an in-memory,
-// LRU-evicted block set while buffering writes (dirty write-back). Blocks
+// LRU-evicted block set. Writes to cached blocks, and writes that find
+// room in their shard, are buffered dirty (write-back until eviction,
+// Flush or Release); a write that misses a full shard goes around the
+// cache to the backing device before WriteBlock returns. Blocks
 // can be pinned with Get and released with Block.Release — the biscuit
 // Bdev_block_t / minixfs bcache lifecycle — so concurrent out-migrations of
 // one domain share cached reads instead of hammering the backing store.
@@ -88,6 +91,9 @@ type Stats struct {
 	Evictions int64
 	// Writebacks counts dirty blocks flushed to the backing device.
 	Writebacks int64
+	// WriteArounds counts writes that missed a full shard and went
+	// straight to the backing device without taking a cache slot.
+	WriteArounds int64
 	// CowCopies counts blocks materialized aside on first write while
 	// snapshots were outstanding; a copy shared by several snapshots
 	// counts once.
@@ -297,7 +303,9 @@ func (c *Cache) ReadBlock(n int, dst []byte) error {
 }
 
 // WriteBlock implements blockdev.Device: copy-on-write for outstanding
-// snapshots, then buffer the new contents dirty in the cache.
+// snapshots, then buffer the new contents dirty in the cache — or, when
+// the block misses and its shard is full, write it through to the backing
+// device without allocating or evicting anything.
 func (c *Cache) WriteBlock(n int, src []byte) error {
 	if err := c.checkIO(n, src); err != nil {
 		return err
@@ -309,6 +317,16 @@ func (c *Cache) WriteBlock(n int, src []byte) error {
 		return err
 	}
 	b := s.blocks[n]
+	if b == nil && len(s.blocks) >= c.shardCap {
+		// Write-around: a miss on a full shard goes straight to the backing
+		// device. Allocating a slot would only evict an LRU victim (and copy
+		// it back if dirty), so every streamed block would be copied twice.
+		if err := c.backing.WriteBlock(n, src); err != nil {
+			return fmt.Errorf("bcache: write-around block %d: %w", n, err)
+		}
+		c.count(func(st *Stats) { st.WriteArounds++ })
+		return nil
+	}
 	if b == nil {
 		b = &block{n: n, data: c.alloc(s)}
 		s.blocks[n] = b

@@ -441,6 +441,248 @@ func TestConcurrentMixedOps(t *testing.T) {
 	}
 }
 
+// readBacking reads block n straight from the backing device, bypassing
+// the cache.
+func readBacking(t *testing.T, d blockdev.Device, n int) []byte {
+	t.Helper()
+	buf := make([]byte, d.BlockSize())
+	if err := d.ReadBlock(n, buf); err != nil {
+		t.Fatalf("backing ReadBlock(%d): %v", n, err)
+	}
+	return buf
+}
+
+// TestWriteAroundOnFullShard pins the write-around path: a write that
+// misses a full shard is on the backing device when WriteBlock returns, and
+// it neither takes a slot nor evicts or writes back the shard's resident
+// block, which stays cached and dirty.
+func TestWriteAroundOnFullShard(t *testing.T) {
+	backing := blockdev.NewMemDisk(4*shardCount, testBS)
+	c := New(backing, shardCount) // shardCap = 1
+	resident, around := make([]byte, testBS), make([]byte, testBS)
+	fillBlock(resident, 0, 1)
+	fillBlock(around, shardCount, 1) // same shard as block 0
+	if err := c.WriteBlock(0, resident); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteBlock(shardCount, around); err != nil {
+		t.Fatal(err)
+	}
+	if string(readBacking(t, backing, shardCount)) != string(around) {
+		t.Fatal("write-around block not on the backing device when WriteBlock returned")
+	}
+	if string(readBacking(t, backing, 0)) == string(resident) {
+		t.Fatal("resident block written back although only a write went around it")
+	}
+	st := c.Stats()
+	if st.WriteArounds != 1 || st.Evictions != 0 || st.Writebacks != 0 {
+		t.Fatalf("want 1 write-around, 0 evictions, 0 write-backs, got %+v", st)
+	}
+	if st.Cached != 1 || st.Dirty != 1 {
+		t.Fatalf("want block 0 alone cached and dirty, got %+v", st)
+	}
+	got := make([]byte, testBS)
+	for n, want := range map[int][]byte{0: resident, shardCount: around} {
+		if err := c.ReadBlock(n, got); err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("block %d reads wrong bytes through the cache", n)
+		}
+	}
+}
+
+// TestWriteAroundKeepsSnapshot checks that a snapshot taken before a
+// write-around still reads the old bytes: the copy-aside runs before the
+// write reaches the backing device.
+func TestWriteAroundKeepsSnapshot(t *testing.T) {
+	backing := blockdev.NewMemDisk(4*shardCount, testBS)
+	c := New(backing, shardCount)
+	old, cur := make([]byte, testBS), make([]byte, testBS)
+	fillBlock(old, 0, 1)
+	if err := c.WriteBlock(0, old); err != nil { // fills shard 0
+		t.Fatal(err)
+	}
+	fillBlock(old, shardCount, 1)
+	if err := c.WriteBlock(shardCount, old); err != nil { // goes around
+		t.Fatal(err)
+	}
+	snap := c.Snapshot()
+	defer snap.Release()
+	fillBlock(cur, shardCount, 2)
+	if err := c.WriteBlock(shardCount, cur); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, testBS)
+	if err := snap.ReadBlock(shardCount, got); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(old) {
+		t.Fatal("snapshot sees a write that went around the cache after it was taken")
+	}
+	if string(readBacking(t, backing, shardCount)) != string(cur) {
+		t.Fatal("second write-around not on the backing device")
+	}
+	if st := c.Stats(); st.WriteArounds != 2 || st.CowCopies != 1 {
+		t.Fatalf("want 2 write-arounds and 1 copy-aside, got %+v", st)
+	}
+}
+
+// TestWriteAroundLeavesCachedBlocksWriteBack checks that pinned and
+// cached-dirty blocks behave as before: writes to them stay in the cache
+// (visible through a pinned handle, absent from the backing device) until
+// Flush, even while misses on the same full shard go around.
+func TestWriteAroundLeavesCachedBlocksWriteBack(t *testing.T) {
+	backing := blockdev.NewMemDisk(4*shardCount, testBS)
+	c := New(backing, shardCount)
+	h, err := c.Get(0) // pins the shard's only slot
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, around := make([]byte, testBS), make([]byte, testBS)
+	fillBlock(pinned, 0, 1)
+	fillBlock(around, 2*shardCount, 1)
+	if err := c.WriteBlock(0, pinned); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteBlock(2*shardCount, around); err != nil {
+		t.Fatal(err)
+	}
+	if string(h.Data()) != string(pinned) {
+		t.Fatal("write to a pinned block not visible through its handle")
+	}
+	if string(readBacking(t, backing, 0)) == string(pinned) {
+		t.Fatal("write to a pinned block reached the backing device before Flush")
+	}
+	if string(readBacking(t, backing, 2*shardCount)) != string(around) {
+		t.Fatal("miss on a shard full of pinned blocks did not go around")
+	}
+	h.Release()
+	fillBlock(pinned, 0, 2) // unpinned now, still cached: write-back
+	if err := c.WriteBlock(0, pinned); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Dirty != 1 || st.WriteArounds != 1 || st.Writebacks != 0 {
+		t.Fatalf("want block 0 dirty and 1 write-around, got %+v", st)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if string(readBacking(t, backing, 0)) != string(pinned) {
+		t.Fatal("Flush did not write the cached block back")
+	}
+	if st := c.Stats(); st.Writebacks != 1 || st.Dirty != 0 {
+		t.Fatalf("want 1 write-back and nothing dirty after Flush, got %+v", st)
+	}
+}
+
+// TestWriteAroundHammer is a -race hammer on a cache far smaller than its
+// device, so most writes go around: each goroutine owns a contiguous range
+// of blocks (spanning every shard) and mixes live writes, reads, pinned
+// Get/Release and snapshot reads, checking each against its own reference
+// map. At the end the cache, and after Flush the backing device, must
+// equal the merged reference.
+func TestWriteAroundHammer(t *testing.T) {
+	const blocks, workers = 512, 4
+	backing := blockdev.NewMemDisk(blocks, testBS)
+	c := New(backing, 2*shardCount)
+	refs := make([]map[int][]byte, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		refs[w] = make(map[int][]byte)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ref := refs[w]
+			r := rand.New(rand.NewSource(int64(w)))
+			lo, span := w*blocks/workers, blocks/workers
+			buf, got := make([]byte, testBS), make([]byte, testBS)
+			want := func(n int) string {
+				if b := ref[n]; b != nil {
+					return string(b)
+				}
+				return string(make([]byte, testBS))
+			}
+			for i := 0; i < 1500; i++ {
+				n := lo + r.Intn(span)
+				switch r.Intn(4) {
+				case 0:
+					fillBlock(buf, n, i)
+					if err := c.WriteBlock(n, buf); err != nil {
+						t.Errorf("write %d: %v", n, err)
+						return
+					}
+					ref[n] = append([]byte(nil), buf...)
+				case 1:
+					if err := c.ReadBlock(n, got); err != nil {
+						t.Errorf("read %d: %v", n, err)
+						return
+					}
+					if string(got) != want(n) {
+						t.Errorf("live read of block %d diverged from the reference", n)
+						return
+					}
+				case 2:
+					h, err := c.Get(n)
+					if err != nil {
+						t.Errorf("get %d: %v", n, err)
+						return
+					}
+					ok := string(h.Data()) == want(n)
+					h.Release()
+					if !ok {
+						t.Errorf("pinned block %d diverged from the reference", n)
+						return
+					}
+				case 3:
+					snap := c.Snapshot()
+					old := want(n)
+					fillBlock(buf, n, i)
+					err := c.WriteBlock(n, buf)
+					if err == nil {
+						ref[n] = append([]byte(nil), buf...)
+						err = snap.ReadBlock(n, got)
+					}
+					snap.Release()
+					if err != nil {
+						t.Errorf("snapshot round on block %d: %v", n, err)
+						return
+					}
+					if string(got) != old {
+						t.Errorf("snapshot of block %d sees a later write", n)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	ref := blockdev.NewMemDisk(blocks, testBS)
+	for _, m := range refs {
+		for n, b := range m {
+			if err := ref.WriteBlock(n, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if mustFP(t, c) != mustFP(t, ref) {
+		t.Fatal("cache diverged from the reference")
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if mustFP(t, backing) != mustFP(t, ref) {
+		t.Fatal("backing device did not converge to the reference after Flush")
+	}
+	st := c.Stats()
+	if st.WriteArounds == 0 || st.Pinned != 0 || st.Snapshots != 0 {
+		t.Fatalf("want write-arounds and no leaked pins or snapshots, got %+v", st)
+	}
+}
+
 func BenchmarkCacheReadHit(b *testing.B) {
 	backing := blockdev.NewMemDisk(1024, blockdev.BlockSize)
 	c := New(backing, 2048) // everything fits: pure hit path

@@ -5,8 +5,12 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"bbmig/internal/bitmap"
 )
 
 func fillPattern(t *testing.T, d Device, seed int64, frac float64) {
@@ -277,5 +281,149 @@ func TestMemDiskAllocatedBitmap(t *testing.T) {
 	d.ReadBlock(30, buf)
 	if d.AllocatedBitmap().Count() != 3 {
 		t.Fatal("read allocated a block")
+	}
+}
+
+// TestMemDiskMatchesReference drives random writes and reads, concentrated
+// on the blocks either side of every shard and leaf boundary, through a
+// MemDisk and a reference map, then demands the same contents, the same
+// WrittenBlocks and the same AllocatedBitmap.
+func TestMemDiskMatchesReference(t *testing.T) {
+	const bs = 64
+	// Three full leaves per shard plus a ragged tail: the last leaf of the
+	// low shards is partly beyond the disk and the high shards end one
+	// block earlier.
+	const blocks = memDiskShards*memDiskLeafBlocks*3 + 5
+	d := NewMemDisk(blocks, bs)
+	ref := make(map[int][]byte)
+	r := rand.New(rand.NewSource(7))
+	pick := func() int {
+		if r.Intn(4) == 0 {
+			return r.Intn(blocks)
+		}
+		// Shard-local index on a leaf boundary ±1, in a random shard.
+		k := r.Intn(4)*memDiskLeafBlocks + r.Intn(3) - 1
+		n := k*memDiskShards + r.Intn(memDiskShards)
+		if n < 0 || n >= blocks {
+			return blocks - 1 - r.Intn(memDiskShards)
+		}
+		return n
+	}
+	buf := make([]byte, bs)
+	for i := 0; i < 20000; i++ {
+		n := pick()
+		if r.Intn(2) == 0 {
+			r.Read(buf)
+			if err := d.WriteBlock(n, buf); err != nil {
+				t.Fatalf("op %d: WriteBlock(%d): %v", i, n, err)
+			}
+			ref[n] = append([]byte(nil), buf...)
+			continue
+		}
+		if err := d.ReadBlock(n, buf); err != nil {
+			t.Fatalf("op %d: ReadBlock(%d): %v", i, n, err)
+		}
+		want := ref[n]
+		if want == nil {
+			want = make([]byte, bs)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("op %d: block %d diverged from the reference", i, n)
+		}
+	}
+	for n := 0; n < blocks; n++ {
+		if err := d.ReadBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		want := ref[n]
+		if want == nil {
+			want = make([]byte, bs)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("final scan: block %d diverged from the reference", n)
+		}
+	}
+	if got := d.WrittenBlocks(); got != len(ref) {
+		t.Fatalf("WrittenBlocks = %d, reference wrote %d", got, len(ref))
+	}
+	want := bitmap.New(blocks)
+	for n := range ref {
+		want.Set(n)
+	}
+	if !d.AllocatedBitmap().Equal(want) {
+		t.Fatal("AllocatedBitmap differs from the reference's written set")
+	}
+}
+
+// TestMemDiskFootprint pins the sparse footprint: a 4 GiB disk with one
+// written block costs its block table's directory, one leaf and one slab,
+// well under a MiB of heap.
+func TestMemDiskFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := NewMemDisk(1<<20, BlockSize)
+	if err := d.WriteBlock(1<<19+3, make([]byte, BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+		t.Fatalf("one written block grew the heap by %d bytes, want < 1 MiB", grew)
+	}
+}
+
+// TestMemDiskConcurrentShards gives each goroutine its own shard and has
+// it write and read back blocks across that shard's leaves while the
+// others do the same: under -race this checks that shards share no
+// unlocked state, and the final scan checks no write landed in a
+// neighbour's block.
+func TestMemDiskConcurrentShards(t *testing.T) {
+	const bs = 64
+	const blocks = memDiskShards * memDiskLeafBlocks * 4
+	d := NewMemDisk(blocks, bs)
+	var wg sync.WaitGroup
+	errs := make(chan error, memDiskShards)
+	for s := 0; s < memDiskShards; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(s)))
+			wbuf := bytes.Repeat([]byte{byte(s + 1)}, bs)
+			rbuf := make([]byte, bs)
+			for i := 0; i < 2000; i++ {
+				n := r.Intn(blocks/memDiskShards)*memDiskShards + s
+				if err := d.WriteBlock(n, wbuf); err != nil {
+					errs <- err
+					return
+				}
+				if err := d.ReadBlock(n, rbuf); err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(rbuf, wbuf) {
+					errs <- errors.New("read back another shard's bytes")
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	buf := make([]byte, bs)
+	for n := 0; n < blocks; n++ {
+		if err := d.ReadBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != 0 && buf[0] != byte(n%memDiskShards+1) {
+			t.Fatalf("block %d holds shard %d's bytes", n, buf[0]-1)
+		}
+	}
+	if got, want := d.WrittenBlocks(), d.AllocatedBitmap().Count(); got != want {
+		t.Fatalf("WrittenBlocks = %d, AllocatedBitmap counts %d", got, want)
 	}
 }

@@ -18,6 +18,15 @@ const memDiskShards = 16
 // footprint only — this is what lets integration tests and the simulator
 // instantiate paper-scale VBDs. Block state is sharded by block number, so
 // concurrent readers and writers of different blocks proceed in parallel.
+//
+// Block n lives in shard n%memDiskShards at shard-local index
+// k = n/memDiskShards, found through a two-level table with no map lookup:
+// dir[k>>memDiskLeafBits] is a leaf of memDiskLeafBlocks block slices,
+// allocated on the shard's first write into that range, and the block is
+// entry k&(memDiskLeafBlocks-1) of it. The directory costs one pointer per
+// memDiskShards*memDiskLeafBlocks blocks of capacity (2 KiB per GiB of 4
+// KiB blocks); leaves and block storage exist only where blocks were
+// written.
 type MemDisk struct {
 	shards    [memDiskShards]memDiskShard
 	blockSize int
@@ -25,10 +34,22 @@ type MemDisk struct {
 }
 
 type memDiskShard struct {
-	mu     sync.RWMutex
-	blocks map[int][]byte // only blocks that were ever written
-	slab   []byte         // spare storage first-writes carve block slices from
+	mu      sync.RWMutex
+	dir     []*memDiskLeaf // leaf i holds shard-local blocks [i<<memDiskLeafBits, (i+1)<<memDiskLeafBits)
+	written int            // blocks ever written (non-nil leaf entries)
+	slab    []byte         // spare storage first-writes carve block slices from
 }
+
+// memDiskLeafBits sizes the second level of the block table: a leaf maps
+// 1<<memDiskLeafBits consecutive shard-local blocks.
+const (
+	memDiskLeafBits   = 6
+	memDiskLeafBlocks = 1 << memDiskLeafBits
+)
+
+// memDiskLeaf holds the storage of one range of a shard's blocks; a nil
+// entry is a never-written block, which reads as zeros.
+type memDiskLeaf [memDiskLeafBlocks][]byte
 
 // memDiskSlabBlocks bounds how many blocks' worth of storage a shard
 // allocates at once. Carving first-write block storage from slabs keeps a
@@ -47,13 +68,28 @@ func NewMemDisk(numBlocks, blockSize int) *MemDisk {
 		blockSize: blockSize,
 		numBlocks: numBlocks,
 	}
+	perShard := (numBlocks + memDiskShards - 1) / memDiskShards
+	leaves := (perShard + memDiskLeafBlocks - 1) / memDiskLeafBlocks
 	for i := range m.shards {
-		m.shards[i].blocks = make(map[int][]byte)
+		m.shards[i].dir = make([]*memDiskLeaf, leaves)
 	}
 	return m
 }
 
-func (m *MemDisk) shard(n int) *memDiskShard { return &m.shards[n%memDiskShards] }
+// locate returns block n's shard and shard-local index. n must be in range.
+func (m *MemDisk) locate(n int) (*memDiskShard, uint) {
+	u := uint(n)
+	return &m.shards[u%memDiskShards], u / memDiskShards
+}
+
+// block returns the storage of shard-local block k, or nil if it was never
+// written. Caller holds s.mu.
+func (s *memDiskShard) block(k uint) []byte {
+	if leaf := s.dir[k>>memDiskLeafBits]; leaf != nil {
+		return leaf[k&(memDiskLeafBlocks-1)]
+	}
+	return nil
+}
 
 // BlockSize implements Device.
 func (m *MemDisk) BlockSize() int { return m.blockSize }
@@ -69,9 +105,9 @@ func (m *MemDisk) ReadBlock(n int, dst []byte) error {
 	if len(dst) < m.blockSize {
 		return fmt.Errorf("blockdev: read buffer %d < block size %d", len(dst), m.blockSize)
 	}
-	s := m.shard(n)
+	s, k := m.locate(n)
 	s.mu.RLock()
-	blk := s.blocks[n]
+	blk := s.block(k)
 	if blk == nil {
 		s.mu.RUnlock()
 		clear(dst[:m.blockSize])
@@ -90,9 +126,14 @@ func (m *MemDisk) WriteBlock(n int, src []byte) error {
 	if len(src) < m.blockSize {
 		return fmt.Errorf("blockdev: write buffer %d < block size %d", len(src), m.blockSize)
 	}
-	s := m.shard(n)
+	s, k := m.locate(n)
 	s.mu.Lock()
-	blk := s.blocks[n]
+	leaf := s.dir[k>>memDiskLeafBits]
+	if leaf == nil {
+		leaf = new(memDiskLeaf)
+		s.dir[k>>memDiskLeafBits] = leaf
+	}
+	blk := leaf[k&(memDiskLeafBlocks-1)]
 	if blk == nil {
 		if len(s.slab) < m.blockSize {
 			// Size the slab to the disk: tiny disks get single-block slabs
@@ -108,7 +149,8 @@ func (m *MemDisk) WriteBlock(n int, src []byte) error {
 		}
 		blk = s.slab[:m.blockSize:m.blockSize]
 		s.slab = s.slab[m.blockSize:]
-		s.blocks[n] = blk
+		leaf[k&(memDiskLeafBlocks-1)] = blk
+		s.written++
 	}
 	copy(blk, src)
 	s.mu.Unlock()
@@ -122,7 +164,7 @@ func (m *MemDisk) WrittenBlocks() int {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
-		total += len(s.blocks)
+		total += s.written
 		s.mu.RUnlock()
 	}
 	return total
@@ -136,8 +178,15 @@ func (m *MemDisk) AllocatedBitmap() *bitmap.Bitmap {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
-		for n := range s.blocks {
-			bm.Set(n)
+		for li, leaf := range s.dir {
+			if leaf == nil {
+				continue
+			}
+			for j, blk := range leaf {
+				if blk != nil {
+					bm.Set((li<<memDiskLeafBits+j)*memDiskShards + i)
+				}
+			}
 		}
 		s.mu.RUnlock()
 	}

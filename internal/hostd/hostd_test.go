@@ -44,6 +44,54 @@ func hop(t *testing.T, src, dst *Machine, domain string) *metrics.Report {
 	return rep
 }
 
+// TestServeOneRejectsOversizedAnnounce sends one crafted ANNOUNCE whose
+// geometry no host could back (a 1<<61-block disk, then a 1<<61-page
+// memory). The receiver sizes its disk, VM shell and dirty bitmaps from
+// those numbers, so before the geometry was bounded this one frame
+// crashed the process in makeslice; now ServeOne must return an error and
+// host nothing.
+func TestServeOneRejectsOversizedAnnounce(t *testing.T) {
+	for _, geom := range []transport.Geometry{
+		{BlockSize: blockdev.BlockSize, NumBlocks: 1 << 61, PageSize: vm.PageSize, NumPages: 16},
+		{BlockSize: blockdev.BlockSize, NumBlocks: 16, PageSize: vm.PageSize, NumPages: 1 << 61},
+	} {
+		l, err := transport.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMachine("B")
+		errCh := make(chan error, 1)
+		go func() {
+			_, err := m.ServeOne(l, core.Config{})
+			errCh <- err
+		}()
+		payload, err := announce{name: "huge", srcHost: "A", geom: geom, streams: 1}.marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := transport.Dial(l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(transport.Message{Type: transport.MsgAnnounce, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-errCh:
+			if err == nil {
+				t.Fatalf("geometry %+v accepted", geom)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("geometry %+v: ServeOne did not return", geom)
+		}
+		if d := m.Domains(); len(d) != 0 {
+			t.Fatalf("geometry %+v: receiver hosts %v after refusing", geom, d)
+		}
+		c.Close()
+		l.Close()
+	}
+}
+
 func TestAnnounceRoundTrip(t *testing.T) {
 	a := announce{
 		name:     "guest-7",

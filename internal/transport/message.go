@@ -261,10 +261,26 @@ type Geometry struct {
 	NumPages  int
 }
 
-// Validate checks the geometry for internal consistency.
+// Bounds on a peer's Geometry. A receiver sizes its disk, its memory
+// shell and their dirty bitmaps from the numbers a peer sends, so a
+// geometry past these bounds is refused before anything is allocated.
+// They sit far above any real guest — 4 TiB of 4 KiB blocks, 1 TiB of
+// 4 KiB pages — and keep each of those bitmaps at or under 128 MiB.
+const (
+	MaxGeometryUnit   = 1 << 20 // largest block or page size, in bytes
+	MaxGeometryBlocks = 1 << 30
+	MaxGeometryPages  = 1 << 28
+)
+
+// Validate checks the geometry for internal consistency and against the
+// MaxGeometry bounds.
 func (g Geometry) Validate() error {
 	if g.BlockSize <= 0 || g.NumBlocks < 0 || g.PageSize <= 0 || g.NumPages < 0 {
 		return fmt.Errorf("transport: invalid geometry %+v", g)
+	}
+	if g.BlockSize > MaxGeometryUnit || g.PageSize > MaxGeometryUnit ||
+		g.NumBlocks > MaxGeometryBlocks || g.NumPages > MaxGeometryPages {
+		return fmt.Errorf("transport: geometry %+v exceeds the supported bounds", g)
 	}
 	return nil
 }
